@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick lint-arch
+.PHONY: test smoke smoke-dist smoke-chaos sweep bench-scaling bench-quick lint-arch perfbench-check
 
 test:
 	$(PY) -m pytest -x -q
@@ -72,6 +72,24 @@ bench-scaling:
 # (BENCH_backends.json).
 bench-quick:
 	cd benchmarks && PYTHONPATH=../src REPRO_BENCH_QUICK=1 $(PY) -m pytest bench_backend_throughput.py -q -s
+
+# Pre-PR gate for the end-to-end benchmark (perfbench/): a short run of
+# every workload at the pinned seed, each sweep's verdicts checked against
+# perfbench/reference.json, then the harness self-test.  Fails on a
+# non-zero exit or a result line with "correct": false.
+PERFBENCH_WORKLOADS := npbench-buggy npbench-clean-t50 service-buggy
+
+perfbench-check:
+	mkdir -p .perfbench-run
+	for w in $(PERFBENCH_WORKLOADS); do \
+		out=.perfbench-run/check-$$w.out; \
+		$(PY) perfbench/run.py --workload $$w --seed 0 --seconds 5 --trace 0 > $$out; \
+		status=$$?; cat $$out; \
+		[ $$status -eq 0 ] || { echo "perfbench-check: $$w exited $$status"; exit 1; }; \
+		tail -n 1 $$out | $(PY) -c 'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+			|| { echo "perfbench-check: $$w is not correct"; exit 1; }; \
+	done
+	$(PY) -m pytest perfbench/tests/selftest.py -q
 
 # Structural invariants of src/repro/backends/ and src/repro/cluster/:
 # module-size caps, the codegen -> execute layering rule (emitters never

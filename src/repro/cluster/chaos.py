@@ -133,13 +133,6 @@ def _kill_matrix_scenario(args: argparse.Namespace) -> int:
     try:
         service.start()
         http_host, http_port = service.http_address
-        sweep_id = submit_sweep(http_host, http_port, tasks)["sweep_id"]
-        print(
-            f"[smoke-chaos/A] service on 127.0.0.1:{port} (state "
-            f"{state_dir}); sweep {sweep_id}; workers: crasher@3, "
-            f"jitter+garble, clean ...",
-            flush=True,
-        )
         workers = [
             _spawn_worker(
                 port, "--reconnect-seconds", "120", faults=CRASHER_FAULTS
@@ -149,6 +142,25 @@ def _kill_matrix_scenario(args: argparse.Namespace) -> int:
             ),
             _spawn_worker(port, "--reconnect-seconds", "120"),
         ]
+        # Submit only once every worker is connected: tasks take
+        # milliseconds, so a worker that joined late could find the sweep
+        # drained -- and the crasher must reach its third task.
+        deadline = _monotonic() + 120.0
+        while service.scheduler.active_workers < len(workers):
+            if _monotonic() > deadline:
+                print(
+                    "[smoke-chaos/A] FAIL: workers did not all connect",
+                    file=sys.stderr,
+                )
+                return 1
+            time.sleep(0.05)
+        sweep_id = submit_sweep(http_host, http_port, tasks)["sweep_id"]
+        print(
+            f"[smoke-chaos/A] service on 127.0.0.1:{port} (state "
+            f"{state_dir}); sweep {sweep_id}; workers: crasher@3, "
+            f"jitter+garble, clean ...",
+            flush=True,
+        )
 
         # Let the sweep journal a few outcomes (the deterministic garble
         # clause corrupts record #2), then kill the service mid-drain.

@@ -45,6 +45,12 @@ class SweepCoordinator:
         coordinator = SweepCoordinator(tasks, host, port, store=store)
         coordinator.start()              # binds; .address is now concrete
         result = coordinator.wait()      # blocks until every task completed
+        ...                              # let the caller's workers exit
+        coordinator.stop()
+
+    Waiting and stopping are separate: a worker whose final request
+    arrives after the last outcome landed must still be answered ``done``,
+    so stop the service only once your own workers have exited.
     """
 
     def __init__(
@@ -159,25 +165,26 @@ class SweepCoordinator:
     def wait(self, timeout: Optional[float] = None) -> SweepResult:
         """Block until every task has an outcome; returns the sweep result.
 
-        With ``timeout``, raises :class:`TimeoutError` if the sweep has not
-        completed in time (the server keeps running; call again to keep
-        waiting).
+        The service keeps running, answering late worker requests with
+        ``done``; call :meth:`stop` once the workers have exited.  With
+        ``timeout``, raises :class:`TimeoutError` if the sweep has not
+        completed in time (call again to keep waiting).
         """
         result = self.scheduler.wait(self.sweep_id, timeout)
-        self._shutdown()
         result.workers = max(1, self.scheduler.worker_count)
         result.sweep_id = None  # a one-shot sweep has no service identity
         return result
 
     def run(self, timeout: Optional[float] = None) -> SweepResult:
-        """:meth:`start` + :meth:`wait` in one call."""
+        """:meth:`start` + :meth:`wait` + :meth:`stop` in one call."""
         self.start()
         try:
             return self.wait(timeout)
         finally:
-            self._shutdown()
+            self.stop()
 
-    def _shutdown(self) -> None:
+    def stop(self) -> None:
+        """Stop serving (idempotent); the local executors stop with it."""
         if self._started:
             self._started = False
             self._service.stop()

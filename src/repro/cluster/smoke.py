@@ -397,8 +397,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         distributed = coordinator.wait(timeout=600.0)
     finally:
         # The sweep is complete (or failed) -- workers exit on their own
-        # after their final request is answered with "done"; give them that
-        # round-trip before resorting to SIGTERM.
+        # after their final request is answered with "done" (a late starter
+        # may only now connect); give them that round-trip before resorting
+        # to SIGTERM, and stop serving only once they are gone.
         for proc in workers:
             try:
                 proc.wait(timeout=15.0)
@@ -406,6 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 proc.terminate()
         for proc in workers:
             proc.wait(timeout=30.0)
+        coordinator.stop()
         store.close()
 
     failures = [p.returncode for p in workers if p.returncode != 0]

@@ -269,8 +269,9 @@ def extract_state_cutout(
 
     copies: Dict[SDFGState, SDFGState] = {}
     for st in state_list:
-        new_state = copy.deepcopy(st)
-        new_state.sdfg = target
+        # Seeding the memo maps the state's parent pointer onto the target
+        # instead of deep-copying the whole parent program.
+        new_state = copy.deepcopy(st, {id(sdfg): target})
         copies[st] = new_state
         target._states.add_node(new_state)
 

@@ -87,11 +87,16 @@ class FuzzyFlowVerifier:
 
     # ------------------------------------------------------------------ #
     def _executable(self, cutout: Cutout, sdfg: SDFG) -> SDFG:
-        out = sdfg.clone()
+        """Make the cutout's input-configuration and system-state containers
+        non-transient *in place*, so a harness can set and inspect them.
+
+        ``sdfg`` must be a private copy (the cutout's own program or a clone
+        of it); call this only after the transformation is applied, because
+        applicability checks read ``transient``."""
         for name in set(cutout.input_configuration) | set(cutout.system_state):
-            if name in out.arrays:
-                out.arrays[name].transient = False
-        return out
+            if name in sdfg.arrays:
+                sdfg.arrays[name].transient = False
+        return sdfg
 
     # ------------------------------------------------------------------ #
     def verify(
@@ -276,8 +281,8 @@ class FuzzyFlowVerifier:
         case = ReproducibleTestCase(
             name=f"{report.transformation}_{len(os.listdir(self.test_case_dir)) if os.path.isdir(self.test_case_dir) else 0}",
             transformation=report.transformation,
-            original_cutout=self._executable(cutout, cutout.sdfg),
-            transformed_cutout=self._executable(cutout, transformed),
+            original_cutout=cutout.sdfg,
+            transformed_cutout=transformed,
             inputs=failing_inputs or {},
             symbols=failing_symbols or {k: int(v) for k, v in symbol_values.items()},
             system_state=list(cutout.system_state),

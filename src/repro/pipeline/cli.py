@@ -555,7 +555,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"--connect {bound_host}:{bound_port}",
                     flush=True,
                 )
-            result = coordinator.wait()
+            try:
+                result = coordinator.wait()
+            finally:
+                coordinator.stop()
         else:
             workers = max(1, args.workers)
             if not args.quiet:

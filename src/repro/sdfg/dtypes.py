@@ -87,6 +87,13 @@ class typeclass:
     def __repr__(self) -> str:
         return f"typeclass({self.name})"
 
+    # Element types are immutable values, shared by copies of a program.
+    def __copy__(self) -> "typeclass":
+        return self
+
+    def __deepcopy__(self, memo) -> "typeclass":
+        return self
+
 
 float32 = typeclass("float32", np.float32)
 float64 = typeclass("float64", np.float64)

@@ -395,7 +395,8 @@ class SDFG:
     # ------------------------------------------------------------------ #
     def clone(self, new_name: Optional[str] = None) -> "SDFG":
         """Deep copy of the program.  Node guids are preserved, so the copy
-        can be diffed against the original after transforming it."""
+        can be diffed against the original after transforming it.  Immutable
+        values (expressions, ranges, subsets, element types) are shared."""
         out = copy.deepcopy(self)
         if new_name:
             out.name = new_name

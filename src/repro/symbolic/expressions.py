@@ -124,6 +124,14 @@ class Expr:
     def __repr__(self) -> str:
         return str(self)
 
+    # Expressions are immutable values: nothing assigns to their fields after
+    # construction (rewrites build new expressions), so copies share them.
+    def __copy__(self) -> "Expr":
+        return self
+
+    def __deepcopy__(self, memo) -> "Expr":
+        return self
+
 
 # ---------------------------------------------------------------------- #
 # Atoms

@@ -168,6 +168,14 @@ class Range:
     def __repr__(self) -> str:
         return f"Range({self})"
 
+    # Ranges are immutable values (transformations replace them, never
+    # mutate them), so copies of a program share them.
+    def __copy__(self) -> "Range":
+        return self
+
+    def __deepcopy__(self, memo) -> "Range":
+        return self
+
 
 class Subset:
     """A multi-dimensional subset: one :class:`Range` per dimension."""
@@ -335,6 +343,13 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset[{self}]"
+
+    # Immutable value, shared by copies (see :class:`Range`).
+    def __copy__(self) -> "Subset":
+        return self
+
+    def __deepcopy__(self, memo) -> "Subset":
+        return self
 
     def __iter__(self):
         return iter(self.ranges)

@@ -13,8 +13,10 @@ Every application the evaluation touches is rebuilt on the dataflow IR:
   standing in for ECMWF CLOUDSC (Sec. 6.4).
 """
 
+import functools
 from typing import Callable, Dict, List
 
+from repro.sdfg.sdfg import SDFG
 from repro.workloads.bert_encoder import (
     BERT_LARGE,
     BERT_TINY,
@@ -39,6 +41,7 @@ __all__ = [
     "register_workload_suite",
     "get_workload_suite",
     "get_workload",
+    "build_workload",
     "list_workload_suites",
 ]
 
@@ -57,6 +60,7 @@ def register_workload_suite(name: str, loader: Callable[[], List]) -> None:
     (each with ``name``, ``build()`` and ``symbols``).  Loaders are called
     lazily so registration stays import-cycle free."""
     _SUITE_LOADERS[name] = loader
+    _pristine_program.cache_clear()
 
 
 def list_workload_suites() -> List[str]:
@@ -79,6 +83,24 @@ def get_workload(suite: str, name: str):
         if spec.name == name:
             return spec
     raise KeyError(f"Unknown workload '{name}' in suite '{suite}'")
+
+
+@functools.lru_cache(maxsize=None)
+def _pristine_program(suite: str, name: str) -> SDFG:
+    """The program of one registered workload, built once per process.
+
+    Never handed out: :func:`build_workload` returns clones of it."""
+    return get_workload(suite, name).build()
+
+
+def build_workload(suite: str, name: str) -> SDFG:
+    """A private copy of a registered workload's program.
+
+    Each (suite, name) program is built once per process and cloned on every
+    call.  Clones keep node guids and node, edge and container order, so
+    match enumeration by index agrees across calls, and callers may mutate
+    their copy freely."""
+    return _pristine_program(suite, name).clone()
 
 
 def _load_npbench():

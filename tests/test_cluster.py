@@ -52,6 +52,26 @@ def cheap_tasks(n=4):
     ]
 
 
+@pytest.fixture
+def make_coordinator():
+    """Builds :class:`SweepCoordinator` instances and stops them at teardown.
+
+    ``wait()`` leaves the service running, so a worker whose final request
+    arrives after the last outcome still gets ``done``; teardown runs after
+    the test has joined its own workers, which is when a caller must stop.
+    """
+    made = []
+
+    def make(*args, **kwargs):
+        coordinator = SweepCoordinator(*args, **kwargs)
+        made.append(coordinator)
+        return coordinator
+
+    yield make
+    for coordinator in made:
+        coordinator.stop()
+
+
 # ---------------------------------------------------------------------- #
 # Protocol framing
 # ---------------------------------------------------------------------- #
@@ -329,10 +349,10 @@ def start_worker_thread(address, **kwargs):
 
 
 class TestCoordinator:
-    def test_loopback_two_workers_matches_serial(self):
+    def test_loopback_two_workers_matches_serial(self, make_coordinator):
         tasks = real_tasks()
         serial = SweepRunner(workers=1).run(tasks)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
+        coordinator = make_coordinator(tasks, "127.0.0.1", 0)
         address = coordinator.start()
         threads = [
             start_worker_thread(address, backend="interpreter"),
@@ -348,10 +368,10 @@ class TestCoordinator:
             assert outcome["worker"]["backend"] in ("interpreter", "compiled")
             assert outcome["worker"]["shard"] >= 1
 
-    def test_worker_disconnect_requeues_inflight_tasks(self):
+    def test_worker_disconnect_requeues_inflight_tasks(self, make_coordinator):
         tasks = cheap_tasks(3)
         progress = []
-        coordinator = SweepCoordinator(
+        coordinator = make_coordinator(
             tasks,
             "127.0.0.1",
             0,
@@ -380,9 +400,9 @@ class TestCoordinator:
         assert [t for _, t in progress] == [3, 3, 3]
         assert [c for c, _ in progress] == [1, 2, 3]
 
-    def test_retry_budget_exhaustion_records_infra_error(self):
+    def test_retry_budget_exhaustion_records_infra_error(self, make_coordinator):
         tasks = cheap_tasks(1)
-        coordinator = SweepCoordinator(
+        coordinator = make_coordinator(
             tasks, "127.0.0.1", 0, max_task_retries=1
         )
         host, port = coordinator.start()
@@ -400,9 +420,9 @@ class TestCoordinator:
         assert "connection lost" in outcome["error"]
         assert result.errors() == [outcome]
 
-    def test_late_duplicate_result_is_dropped(self):
+    def test_late_duplicate_result_is_dropped(self, make_coordinator):
         tasks = cheap_tasks(1)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
+        coordinator = make_coordinator(tasks, "127.0.0.1", 0)
         host, port = coordinator.start()
         task_id = tasks[0].task_id
 
@@ -426,11 +446,11 @@ class TestCoordinator:
         assert result.outcomes[0]["tag"] == "first"
         assert result.outcomes[0]["worker"]["host"] == "first"
 
-    def test_requeued_task_not_re_leased_after_late_result(self):
+    def test_requeued_task_not_re_leased_after_late_result(self, make_coordinator):
         """A lost worker's task is requeued; if its result then arrives
         anyway, the pending entry must not be handed to the next worker."""
         tasks = cheap_tasks(2)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
+        coordinator = make_coordinator(tasks, "127.0.0.1", 0)
         host, port = coordinator.start()
 
         # Worker A leases BOTH tasks, then vanishes -> both requeued.
@@ -487,7 +507,7 @@ class TestCoordinator:
         assert rebuilt.verifier_kwargs["backend"] == "compiled"
         assert task_id != rebuilt.task_id  # even when they would differ
 
-    def test_distributed_resume_skips_journaled_tasks(self, tmp_path):
+    def test_distributed_resume_skips_journaled_tasks(self, make_coordinator, tmp_path):
         tasks = real_tasks()
         path = str(tmp_path / "j.jsonl")
         serial = SweepRunner(workers=1).run(tasks)
@@ -500,7 +520,7 @@ class TestCoordinator:
         resumed = ResultStore.open(
             path, tasks, "npbench", True, "interpreter", resume=True
         )
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0, store=resumed)
+        coordinator = make_coordinator(tasks, "127.0.0.1", 0, store=resumed)
         address = coordinator.start()
         executed = []
         thread = threading.Thread(
@@ -516,8 +536,8 @@ class TestCoordinator:
         assert executed == [2]  # only the unfinished tail crossed the wire
         assert result.comparable_dict() == serial.comparable_dict()
 
-    def test_empty_task_list_completes_immediately(self):
-        coordinator = SweepCoordinator([], "127.0.0.1", 0)
+    def test_empty_task_list_completes_immediately(self, make_coordinator):
+        coordinator = make_coordinator([], "127.0.0.1", 0)
         coordinator.start()
         result = coordinator.wait(timeout=5.0)
         assert result.outcomes == []
@@ -540,11 +560,11 @@ def _complete_shard(sock, reply):
 
 
 class TestAdaptiveSharding:
-    def test_tail_shards_shrink_with_multiple_workers(self):
+    def test_tail_shards_shrink_with_multiple_workers(self, make_coordinator):
         """Guided self-scheduling: shards start at the requested size and
         fall toward one as the remaining work approaches the worker count."""
         tasks = cheap_tasks(12)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
+        coordinator = make_coordinator(tasks, "127.0.0.1", 0)
         host, port = coordinator.start()
         idle = socket.create_connection((host, port))
         send_message(idle, {"type": "hello", "worker": {"host": "idle"}})
@@ -572,11 +592,11 @@ class TestAdaptiveSharding:
         assert sizes[-1] == 1
         assert coordinator.shard_sizes == sizes
 
-    def test_lone_worker_is_never_capped(self):
+    def test_lone_worker_is_never_capped(self, make_coordinator):
         """With nobody to level against, a single worker gets what it asks
         for -- capping would only multiply request round-trips."""
         tasks = cheap_tasks(6)
-        coordinator = SweepCoordinator(tasks, "127.0.0.1", 0)
+        coordinator = make_coordinator(tasks, "127.0.0.1", 0)
         host, port = coordinator.start()
         w = socket.create_connection((host, port))
         send_message(w, {"type": "hello", "worker": {"host": "solo"}})
@@ -591,8 +611,8 @@ class TestAdaptiveSharding:
 
 
 class TestHeartbeats:
-    def test_ping_gets_pong(self):
-        coordinator = SweepCoordinator(cheap_tasks(1), "127.0.0.1", 0)
+    def test_ping_gets_pong(self, make_coordinator):
+        coordinator = make_coordinator(cheap_tasks(1), "127.0.0.1", 0)
         host, port = coordinator.start()
         w = socket.create_connection((host, port))
         try:
@@ -600,14 +620,13 @@ class TestHeartbeats:
             assert recv_message(w)["type"] == "pong"
         finally:
             w.close()
-            coordinator._shutdown()
 
-    def test_hung_worker_times_out_and_tasks_requeue(self):
+    def test_hung_worker_times_out_and_tasks_requeue(self, make_coordinator):
         """A worker that leases tasks and then goes silent (no pings, no
         results) is reaped after ``worker_timeout``; its in-flight shard is
         requeued and completed by a healthy worker."""
         tasks = cheap_tasks(2)
-        coordinator = SweepCoordinator(
+        coordinator = make_coordinator(
             tasks, "127.0.0.1", 0, worker_timeout=0.5
         )
         host, port = coordinator.start()
@@ -629,13 +648,13 @@ class TestHeartbeats:
             assert outcome is not None
             assert "connection lost" not in (outcome.get("error") or "")
 
-    def test_pinging_busy_worker_is_not_reaped(self):
+    def test_pinging_busy_worker_is_not_reaped(self, make_coordinator):
         """Heartbeats prove liveness: a worker 'executing' for several
         timeout periods while pinging keeps its lease and delivers."""
         import time as _time
 
         tasks = cheap_tasks(1)
-        coordinator = SweepCoordinator(
+        coordinator = make_coordinator(
             tasks, "127.0.0.1", 0, worker_timeout=0.4
         )
         host, port = coordinator.start()

@@ -381,6 +381,26 @@ class TestVerifierFeatures:
         assert len(reports) == 6
         assert all(r.verdict == Verdict.PASS for r in reports)
 
+    def test_dataflow_instance_clones_once(self, monkeypatch):
+        """One verify() costs one program copy: the transformed cutout.  The
+        cutout itself is extracted fresh and both sides are made executable
+        in place."""
+        clones = []
+        original_clone = SDFG.clone
+
+        def counting_clone(self, *args, **kwargs):
+            clones.append(self.name)
+            return original_clone(self, *args, **kwargs)
+
+        monkeypatch.setattr(SDFG, "clone", counting_clone)
+        report = verify_transformation(
+            producer_consumer_program(), Vectorization(vector_size=4),
+            symbol_values={"N": 8}, **VERIFIER,
+        )
+        assert report.verdict == Verdict.PASS
+        assert report.cutout_states == 1  # a dataflow cutout
+        assert len(clones) == 1
+
     def test_test_case_saved_on_failure(self, tmp_path):
         report = verify_transformation(
             tasklet_chain_program(), TaskletFusion(inject_bug=True),

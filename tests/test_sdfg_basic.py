@@ -21,8 +21,9 @@ from repro.sdfg import (
 )
 from repro.sdfg.analysis import find_loops
 from repro.sdfg.graph import GraphError, OrderedMultiDiGraph
+from repro.sdfg.serialize import sdfg_to_json
 from repro.sdfg.state import propagate_memlet
-from repro.symbolic import Subset
+from repro.symbolic import Range, Subset
 
 
 def build_elementwise_scale(name="scale", n_symbol="N"):
@@ -361,6 +362,122 @@ class TestCloningAndSerialization:
         sdfg.save(str(path))
         restored = SDFG.load(str(path))
         assert restored.name == sdfg.name
+
+
+def _edge_signature(sdfg):
+    return [
+        (state.label, e.src.guid, e.dst.guid, e.src_conn, e.dst_conn)
+        for state in sdfg.states()
+        for e in state.edges()
+    ]
+
+
+def _first_map_entry(sdfg):
+    return next(n for _, n in sdfg.all_nodes() if isinstance(n, MapEntry))
+
+
+def _first_memlet_edge(sdfg):
+    return next(
+        e for st in sdfg.states() for e in st.edges() if e.data.subset is not None
+    )
+
+
+def _replace_map_range(sdfg):
+    _first_map_entry(sdfg).map.ranges[0] = Range(0, 3)
+
+
+def _reassign_memlet_subset(sdfg):
+    _first_memlet_edge(sdfg).data.subset = Subset.from_string("0")
+
+
+def _flip_transient(sdfg):
+    desc = next(iter(sdfg.arrays.values()))
+    desc.transient = not desc.transient
+
+
+def _add_node_and_edge(sdfg):
+    state = sdfg.start_state
+    tasklet = state.add_tasklet("extra", [], ["o"], "o = 1")
+    state.add_edge(
+        tasklet, "o", state.add_access(next(iter(sdfg.arrays))), None,
+        Memlet.simple(next(iter(sdfg.arrays)), "0"),
+    )
+
+
+def _add_symbol(sdfg):
+    sdfg.add_symbol("ExtraSymbol")
+
+
+CLONE_MUTATIONS = [
+    _replace_map_range,
+    _reassign_memlet_subset,
+    _flip_transient,
+    _add_node_and_edge,
+    _add_symbol,
+]
+
+
+class TestCopyContract:
+    """Clones share immutable symbolic values and element types, and deep
+    copy every mutable layer (nodes, map range lists, memlets, descriptors,
+    states, edges, dicts)."""
+
+    def test_clone_shares_immutable_values(self):
+        sdfg = build_elementwise_scale()
+        clone = sdfg.clone()
+        entry, centry = _first_map_entry(sdfg), _first_map_entry(clone)
+        assert centry is not entry and centry.map is not entry.map
+        assert centry.map.ranges is not entry.map.ranges
+        assert all(a is b for a, b in zip(centry.map.ranges, entry.map.ranges))
+        edge, cedge = _first_memlet_edge(sdfg), _first_memlet_edge(clone)
+        assert cedge.data is not edge.data
+        assert cedge.data.subset is edge.data.subset
+        for name, desc in sdfg.arrays.items():
+            cdesc = clone.arrays[name]
+            assert cdesc is not desc
+            assert cdesc.dtype is desc.dtype
+            assert all(a is b for a, b in zip(cdesc.shape, desc.shape))
+        for name, dtype in sdfg.symbols.items():
+            assert clone.symbols[name] is dtype
+
+    def test_clone_preserves_guids_and_order(self):
+        sdfg = build_elementwise_scale()
+        clone = sdfg.clone()
+        assert [n.guid for _, n in clone.all_nodes()] == [
+            n.guid for _, n in sdfg.all_nodes()
+        ]
+        assert _edge_signature(clone) == _edge_signature(sdfg)
+        assert list(clone.arrays) == list(sdfg.arrays)
+
+    @pytest.mark.parametrize("mutate", CLONE_MUTATIONS, ids=lambda f: f.__name__[1:])
+    def test_mutating_clone_leaves_original_unchanged(self, mutate):
+        sdfg = build_elementwise_scale()
+        before = sdfg_to_json(sdfg)
+        clone = sdfg.clone()
+        mutate(clone)
+        assert sdfg_to_json(clone) != before
+        assert sdfg_to_json(sdfg) == before
+
+    def test_workload_builds_are_private_copies(self):
+        from repro.core import FuzzyFlowVerifier
+        from repro.pipeline import enumerate_sweep_tasks
+
+        task = enumerate_sweep_tasks(
+            suite="npbench", workloads=["gemm"], max_instances=1
+        )[0]
+        first, second = task.build_sdfg(), task.build_sdfg()
+        assert first is not second
+        assert sdfg_to_json(first) == sdfg_to_json(second)
+        verifier = FuzzyFlowVerifier()
+        xform = task.transformation.instantiate()
+        assert [m.describe() for m in verifier.enumerate_instances(first, xform)] == [
+            m.describe() for m in verifier.enumerate_instances(second, xform)
+        ]
+        before = sdfg_to_json(second)
+        for mutate in CLONE_MUTATIONS:
+            mutate(first)
+        assert sdfg_to_json(second) == before
+        assert sdfg_to_json(task.build_sdfg()) == before
 
 
 class TestInterstateEdgeFreeSymbols:
